@@ -2,9 +2,10 @@
 
 The tentpole performance benchmark: runs the paper's virtualized
 browsing scenario with the complete 518-metric registry sampled every
-2 s and reports end-to-end throughput — events/s through the DES engine
-and metrics/s through the telemetry pipeline — into ``extra_info`` so
-the BENCH trajectory tracks regressions.
+2 s and reports end-to-end throughput — simulated seconds and completed
+requests per wall-second on either engine, plus events/s through the
+classic DES engine and metrics/s through the telemetry pipeline — into
+``extra_info`` so the BENCH trajectory tracks regressions.
 
 Two supporting microbenchmarks isolate the layers: a pure event-loop
 run (periodic processes only, no application logic) and a
@@ -32,23 +33,19 @@ HORIZON_S = 30.0 if QUICK else 240.0
 #: Pure event-loop horizon.
 LOOP_HORIZON_S = 5.0 if QUICK else 50.0
 
-#: Classic-engine event counts per configuration, shared with the
-#: batched variants below: the batched engine fires only drain ticks,
-#: so its honest throughput figure is *classic-equivalent* events/s —
-#: the events the classic engine needs for the same simulated work,
-#: divided by the batched wall time.
-_CLASSIC_EVENTS = {}
 
+def _record_engine_neutral(benchmark, result, horizon_s, elapsed):
+    """Record the units both engines share; return them as a phrase.
 
-def _classic_events(key, sc, registry):
-    """Classic event count for ``sc``, reusing the classic bench's run."""
-    if key not in _CLASSIC_EVENTS:
-        result = run_scenario(
-            sc, collect_full_registry=True, registry=registry,
-            columnar_rows=True,
-        )
-        _CLASSIC_EVENTS[key] = result.deployment.sim.events_fired
-    return _CLASSIC_EVENTS[key]
+    The batched engine fires only drain ticks, so DES events/s do not
+    compare across engines; simulated seconds and completed requests
+    per wall-second do.
+    """
+    sim_rate = horizon_s / elapsed
+    request_rate = result.requests_completed / elapsed
+    benchmark.extra_info["sim_s_per_wall_s"] = round(sim_rate, 2)
+    benchmark.extra_info["requests_per_wall_s"] = round(request_rate)
+    return f"{sim_rate:,.1f} sim-s/s, {request_rate:,.0f} requests/s"
 
 
 def test_full_registry_scenario_throughput(benchmark):
@@ -71,7 +68,6 @@ def test_full_registry_scenario_throughput(benchmark):
 
     result, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     events = result.deployment.sim.events_fired
-    _CLASSIC_EVENTS["full_registry"] = events
     samples = len(result.columnar)
     metric_columns = len(result.columnar.columns) - 1  # minus time_s
     benchmark.extra_info["engine"] = "classic"
@@ -83,13 +79,11 @@ def test_full_registry_scenario_throughput(benchmark):
     benchmark.extra_info["metrics_per_s"] = round(
         samples * metric_columns / elapsed
     )
-    benchmark.extra_info["sim_speedup_over_realtime"] = round(
-        HORIZON_S / elapsed, 1
-    )
+    rates = _record_engine_neutral(benchmark, result, HORIZON_S, elapsed)
     print(
         f"\n{events} events, {samples} x {metric_columns} metric samples "
         f"in {elapsed:.3f}s -> {events / elapsed:,.0f} events/s, "
-        f"{samples * metric_columns / elapsed:,.0f} metrics/s"
+        f"{samples * metric_columns / elapsed:,.0f} metrics/s, {rates}"
     )
     assert samples == int(HORIZON_S // 2)
     assert metric_columns == 3 * (182 + 154)
@@ -126,7 +120,6 @@ def test_million_event_scenario_throughput(benchmark):
 
     result, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     events = result.deployment.sim.events_fired
-    _CLASSIC_EVENTS["million_event"] = events
     samples = len(result.columnar)
     metric_columns = len(result.columnar.columns) - 1
     benchmark.extra_info["engine"] = "classic"
@@ -136,9 +129,10 @@ def test_million_event_scenario_throughput(benchmark):
     benchmark.extra_info["metrics_per_s"] = round(
         samples * metric_columns / elapsed
     )
+    rates = _record_engine_neutral(benchmark, result, horizon, elapsed)
     print(
         f"\n{clients} clients: {events:,} events in {elapsed:.2f}s "
-        f"-> {events / elapsed:,.0f} events/s"
+        f"-> {events / elapsed:,.0f} events/s, {rates}"
     )
     if not QUICK:
         assert events > 1_000_000
@@ -147,16 +141,14 @@ def test_million_event_scenario_throughput(benchmark):
 def test_full_registry_scenario_throughput_batched(benchmark):
     """The full-registry scenario under ``engine="batched"``.
 
-    Same simulated work as the classic bench above; the reported
-    ``events_per_s`` is *classic-equivalent* (classic events for this
-    configuration over batched wall time), so the two rows compare
-    directly.
+    Same simulated work as the classic bench above, reported in the
+    engine-neutral units (simulated seconds and completed requests per
+    wall-second), so the two rows compare directly.
     """
     registry = build_registry()
     base = scenario("virtualized", "browsing", duration_s=HORIZON_S, seed=7)
     sc = replace(base, name=f"{base.name}%batched", engine="batched")
     run_scenario(scenario("virtualized", "browsing", duration_s=4.0, seed=1))
-    classic_events = _classic_events("full_registry", base, registry)
 
     def run():
         start = time.perf_counter()
@@ -173,15 +165,11 @@ def test_full_registry_scenario_throughput_batched(benchmark):
     metric_columns = len(result.columnar.columns) - 1
     benchmark.extra_info["engine"] = "batched"
     benchmark.extra_info["horizon_s"] = HORIZON_S
-    benchmark.extra_info["classic_equivalent_events"] = classic_events
-    benchmark.extra_info["events_per_s"] = round(classic_events / elapsed)
     benchmark.extra_info["metrics_per_s"] = round(
         samples * metric_columns / elapsed
     )
-    print(
-        f"\nbatched: {classic_events:,} classic-equivalent events in "
-        f"{elapsed:.3f}s -> {classic_events / elapsed:,.0f} events/s"
-    )
+    rates = _record_engine_neutral(benchmark, result, HORIZON_S, elapsed)
+    print(f"\nbatched: {HORIZON_S:g} sim-s in {elapsed:.3f}s -> {rates}")
     assert samples == int(HORIZON_S // 2)
     assert result.requests_completed > 0
 
@@ -189,9 +177,8 @@ def test_full_registry_scenario_throughput_batched(benchmark):
 def test_million_event_scenario_throughput_batched(benchmark):
     """The million-event acceptance configuration under the batched engine.
 
-    The Epoch-2 headline number: classic-equivalent events/s on the
-    exact configuration PERFORMANCE.md tracks (5000 clients, 240 s,
-    full registry, columnar).
+    The engine-neutral rates on the exact configuration PERFORMANCE.md
+    tracks (5000 clients, 240 s, full registry, columnar).
     """
     clients = 1_000 if QUICK else 5_000
     horizon = 30.0 if QUICK else 240.0
@@ -202,7 +189,6 @@ def test_million_event_scenario_throughput_batched(benchmark):
     )
     sc = replace(base, name=f"{base.name}%batched", engine="batched")
     run_scenario(scenario("virtualized", "browsing", duration_s=4.0, seed=1))
-    classic_events = _classic_events("million_event", base, registry)
 
     def run():
         start = time.perf_counter()
@@ -217,12 +203,10 @@ def test_million_event_scenario_throughput_batched(benchmark):
     result, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["engine"] = "batched"
     benchmark.extra_info["clients"] = clients
-    benchmark.extra_info["classic_equivalent_events"] = classic_events
-    benchmark.extra_info["events_per_s"] = round(classic_events / elapsed)
+    rates = _record_engine_neutral(benchmark, result, horizon, elapsed)
     print(
-        f"\nbatched, {clients} clients: {classic_events:,} "
-        f"classic-equivalent events in {elapsed:.2f}s "
-        f"-> {classic_events / elapsed:,.0f} events/s"
+        f"\nbatched, {clients} clients: {horizon:g} sim-s in "
+        f"{elapsed:.2f}s -> {rates}"
     )
     assert result.requests_completed > 0
 

@@ -9,23 +9,34 @@ and the Kolmogorov-Smirnov statistic, and picks a winner.
 
 from __future__ import annotations
 
+import functools
+import types
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import AnalysisError, InsufficientDataError
 from repro.monitoring.timeseries import TimeSeries
 
-#: Candidate families: name -> scipy distribution.
-CANDIDATE_FAMILIES: Dict[str, scipy_stats.rv_continuous] = {
-    "normal": scipy_stats.norm,
-    "lognormal": scipy_stats.lognorm,
-    "gamma": scipy_stats.gamma,
-    "weibull": scipy_stats.weibull_min,
-    "exponential": scipy_stats.expon,
-}
+
+@functools.lru_cache(maxsize=None)
+def candidate_families() -> Mapping[str, object]:
+    """Candidate families: name -> scipy continuous distribution.
+
+    scipy is imported on the first call, not at module import, so that
+    running a simulation never pays for it.
+    """
+    from scipy import stats as scipy_stats
+
+    return types.MappingProxyType({
+        "normal": scipy_stats.norm,
+        "lognormal": scipy_stats.lognorm,
+        "gamma": scipy_stats.gamma,
+        "weibull": scipy_stats.weibull_min,
+        "exponential": scipy_stats.expon,
+    })
+
 
 #: Families that require strictly positive support.
 _POSITIVE_ONLY = {"lognormal", "gamma", "weibull", "exponential"}
@@ -47,7 +58,7 @@ class DistributionFit:
 
     def frozen(self):
         """The scipy frozen distribution for sampling/evaluation."""
-        return CANDIDATE_FAMILIES[self.family](*self.params)
+        return candidate_families()[self.family](*self.params)
 
 
 def _prepare(series: Union[TimeSeries, np.ndarray, list]) -> np.ndarray:
@@ -74,17 +85,20 @@ def fit_candidates(
     Families needing positive support are skipped for series with
     non-positive values.  Degenerate (zero-variance) series raise.
     """
+    from scipy import stats as scipy_stats
+
     values = _prepare(series)
     if np.var(values) == 0:
         raise AnalysisError("cannot fit distributions to a constant series")
-    names = list(families) if families is not None else list(CANDIDATE_FAMILIES)
+    catalogue = candidate_families()
+    names = list(families) if families is not None else list(catalogue)
     fits: List[DistributionFit] = []
     for name in names:
-        if name not in CANDIDATE_FAMILIES:
+        if name not in catalogue:
             raise AnalysisError(f"unknown family {name!r}")
         if name in _POSITIVE_ONLY and (values <= 0).any():
             continue
-        distribution = CANDIDATE_FAMILIES[name]
+        distribution = catalogue[name]
         try:
             if name in _POSITIVE_ONLY:
                 params = distribution.fit(values, floc=0.0)
@@ -120,7 +134,7 @@ def fit_candidates(
 
 def name_to_cdf(name: str, params: Tuple[float, ...]):
     """CDF callable of a fitted family (helper for K-S tests)."""
-    distribution = CANDIDATE_FAMILIES[name]
+    distribution = candidate_families()[name]
 
     def cdf(x):
         return distribution.cdf(x, *params)

@@ -157,8 +157,8 @@ class VirtualizedContext(ExecutionContext):
                 fraction = speed_fraction(domain_name)
                 workers = domain.active_workers
                 # A single worker can never exceed its VCPU (>= 1), so
-                # the online count — a sum over the VCPU list — is only
-                # computed when contention is possible at all.
+                # the online count is only read when contention is
+                # possible at all.
                 if workers > 1:
                     online = domain.online_vcpus
                     if workers > online:

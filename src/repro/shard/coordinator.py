@@ -61,6 +61,11 @@ class FleetResult:
     #: watch-only fleet.
     optimizer: Optional[dict]
     wall_clock_s: float = 0.0
+    #: Coordinator wall time per phase, consecutive and non-overlapping
+    #: (they sum to at most ``wall_clock_s``): ``build`` (inline pod
+    #: construction) or ``spawn`` (starting the shard workers, which
+    #: then import and build inside the first window), ``simulate``
+    #: (the window loop) and ``collect`` (the pods' results).
     phases_s: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -210,15 +215,16 @@ def run_fleet(
     optimizer = (
         FleetOptimizer(fleet) if fleet.optimizer is not None else None
     )
+    clock = _PhaseClock()
     if shards == 1:
-        pods = _run_inline(fleet, optimizer)
+        pods = _run_inline(fleet, optimizer, clock)
     else:
         timeout = (
             heartbeat_timeout_s
             if heartbeat_timeout_s is not None
             else fleet.heartbeat_timeout_s
         )
-        pods = _run_sharded(fleet, partition, optimizer, timeout)
+        pods = _run_sharded(fleet, partition, optimizer, timeout, clock)
     wall = time.perf_counter() - started
     return FleetResult(
         fleet=fleet,
@@ -226,16 +232,21 @@ def run_fleet(
         pods=pods,
         optimizer=optimizer.report() if optimizer is not None else None,
         wall_clock_s=wall,
-        phases_s=_merge_phases(pods),
+        phases_s=clock.phases,
     )
 
 
-def _merge_phases(pods: Dict[str, dict]) -> Dict[str, float]:
-    merged: Dict[str, float] = {}
-    for pod in pods.values():
-        for phase, seconds in pod.get("phases_s", {}).items():
-            merged[phase] = merged.get(phase, 0.0) + seconds
-    return merged
+class _PhaseClock:
+    """Consecutive coordinator wall intervals, one per named phase."""
+
+    def __init__(self) -> None:
+        self.phases: Dict[str, float] = {}
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.phases[phase] = now - self._mark
+        self._mark = now
 
 
 def _exchange(optimizer, boundary, signals):
@@ -245,17 +256,23 @@ def _exchange(optimizer, boundary, signals):
     return optimizer.decide(boundary, signals)
 
 
-def _run_inline(fleet: FleetScenario, optimizer) -> Dict[str, dict]:
+def _run_inline(
+    fleet: FleetScenario, optimizer, clock: _PhaseClock
+) -> Dict[str, dict]:
     """The single-process engine (also the shards=1 reference path)."""
     group = PodGroup(fleet, list(fleet.pod_names()))
     group.start()
+    clock.lap("build")
     boundaries = fleet.boundaries
     for index, boundary in enumerate(boundaries):
         signals = group.advance_to(boundary)
         if index < len(boundaries) - 1:
             commands = _exchange(optimizer, boundary, signals)
             group.apply(commands)
-    return group.finish()
+    clock.lap("simulate")
+    pods = group.finish()
+    clock.lap("collect")
+    return pods
 
 
 def _run_sharded(
@@ -263,6 +280,7 @@ def _run_sharded(
     partition: List[List[str]],
     optimizer,
     timeout_s: float,
+    clock: _PhaseClock,
 ) -> Dict[str, dict]:
     import multiprocessing
 
@@ -285,9 +303,12 @@ def _run_sharded(
         inboxes.append(inbox)
         outboxes.append(outbox)
         workers.append(process)
+    started = []
     try:
         for process in workers:
             process.start()
+            started.append(process)
+        clock.lap("spawn")
         boundaries = fleet.boundaries
         for index, boundary in enumerate(boundaries):
             signals: Dict[str, dict] = {}
@@ -311,6 +332,7 @@ def _run_sharded(
                         for name in pod_names
                     }
                     inboxes[shard].put(commands_message(index, batch))
+        clock.lap("simulate")
         pods: Dict[str, dict] = {}
         for shard, pod_names in enumerate(partition):
             message = _receive(
@@ -326,12 +348,15 @@ def _run_sharded(
             pods.update(message[2])
         for process in workers:
             process.join(timeout=timeout_s)
+        clock.lap("collect")
         return pods
     finally:
-        for process in workers:
+        # Only started workers can be terminated or joined; touching the
+        # others would replace a failed start's error with a new one.
+        for process in started:
             if process.is_alive():
                 process.terminate()
-        for process in workers:
+        for process in started:
             process.join(timeout=5.0)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import List
+from typing import Iterable, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import GB
@@ -48,7 +48,7 @@ class Domain:
             raise ConfigurationError("cap_cores must be >= 0 (0 = uncapped)")
         self.name = name
         self.kind = kind
-        self.vcpus: List[Vcpu] = [Vcpu(i) for i in range(vcpu_count)]
+        self.vcpus = [Vcpu(i) for i in range(vcpu_count)]
         self.memory_bytes = float(memory_bytes)
         self.weight = float(weight)
         self.cap_cores = float(cap_cores)
@@ -59,8 +59,22 @@ class Domain:
         self.owner = "dom0" if kind is DomainKind.DOM0 else f"vm:{name}"
 
     @property
+    def vcpus(self) -> Tuple[Vcpu, ...]:
+        """The domain's VCPUs (a tuple: change them through the domain
+        or :meth:`Vcpu.set_online`, which keep :attr:`online_vcpus`
+        current)."""
+        return self._vcpus
+
+    @vcpus.setter
+    def vcpus(self, vcpus: Iterable[Vcpu]) -> None:
+        self._vcpus = tuple(vcpus)
+        for vcpu in self._vcpus:
+            vcpu.domain = self
+        self._online_count = sum(1 for vcpu in self._vcpus if vcpu.online)
+
+    @property
     def online_vcpus(self) -> int:
-        return sum(1 for vcpu in self.vcpus if vcpu.online)
+        return self._online_count
 
     def set_online_vcpus(self, count: int) -> None:
         """Hotplug/unplug: bring exactly ``count`` VCPUs online.
@@ -72,10 +86,13 @@ class Domain:
         """
         if count < 1:
             raise ConfigurationError("a domain needs at least one online VCPU")
-        while len(self.vcpus) < count:
-            self.vcpus.append(Vcpu(len(self.vcpus), online=False))
-        for i, vcpu in enumerate(self.vcpus):
-            vcpu.online = i < count
+        if len(self._vcpus) < count:
+            self.vcpus = self._vcpus + tuple(
+                Vcpu(i, online=False)
+                for i in range(len(self._vcpus), count)
+            )
+        for i, vcpu in enumerate(self._vcpus):
+            vcpu.set_online(i < count)
 
     def demand_cores(self) -> float:
         """Cores this domain could use right now.
@@ -83,7 +100,7 @@ class Domain:
         Bounded by its online VCPUs (a 2-VCPU domain can never use more
         than 2 cores) and by its current active workers.
         """
-        return float(min(self.online_vcpus, max(0, self.active_workers)))
+        return float(min(self._online_count, max(0, self.active_workers)))
 
     def worker_started(self) -> None:
         """A station began serving a job inside this domain."""

@@ -17,7 +17,7 @@ saturation — allocations are almost always demand-limited anyway).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.virt.domain import Domain
@@ -60,10 +60,28 @@ class CreditScheduler:
         # name -> speed fraction of the last epoch; fractions only change
         # at epoch boundaries but are read at every service start.
         self._fractions: Dict[str, float] = {}
+        # Every input of the last allocation (see ``allocate``).
+        self._last_inputs: Optional[list] = None
 
     def allocate(self, domains: Iterable[Domain]) -> SchedulerDecision:
-        """Allocate cores to ``domains`` for the next epoch."""
+        """Allocate cores to ``domains`` for the next epoch.
+
+        The allocation is a pure function of the ordered domain names,
+        each domain's online VCPUs, active workers, cap and weight, and
+        ``total_cores``.  Most epochs see exactly the inputs of the one
+        before, so those return the previous decision unchanged (still
+        counted in :attr:`epochs`).
+        """
         domain_list = list(domains)
+        inputs = [
+            (d.name, d.online_vcpus, d.active_workers, d.cap_cores, d.weight)
+            for d in domain_list
+        ]
+        inputs.append(self.total_cores)
+        if inputs == self._last_inputs:
+            self.epochs += 1
+            return self.last_decision
+        self._last_inputs = inputs
         demands = {d.name: d.demand_cores() for d in domain_list}
         limits = {
             d.name: min(

@@ -52,6 +52,20 @@ class TestDomain:
         domain.active_workers = 5
         assert domain.demand_cores() == 1.0
 
+    def test_online_count_follows_every_vcpu_change(self):
+        domain = Domain("d", vcpu_count=2)
+        domain.vcpus[0].set_online(False)
+        assert domain.online_vcpus == 1
+        domain.vcpus[0].online = True
+        assert domain.online_vcpus == 2
+        domain.set_online_vcpus(4)
+        assert domain.online_vcpus == 4
+        assert len(domain.vcpus) == 4
+        domain.set_online_vcpus(1)
+        assert domain.online_vcpus == 1
+        domain.vcpus = domain.vcpus[:2]
+        assert domain.online_vcpus == 1
+
     def test_worker_lifecycle(self):
         domain = Domain("d")
         domain.worker_started()

@@ -112,6 +112,43 @@ class TestValidation:
         assert scheduler.epochs == 2
 
 
+class TestEpochMemo:
+    def test_unchanged_inputs_return_the_previous_decision(self):
+        scheduler = CreditScheduler(total_cores=2)
+        domains = [make_domain("a", 2), make_domain("b", 1)]
+        first = scheduler.allocate(domains)
+        assert scheduler.allocate(domains) is first
+        assert scheduler.epochs == 2
+
+    def test_any_changed_input_recomputes(self):
+        scheduler = CreditScheduler(total_cores=2)
+        a, b = make_domain("a", 2), make_domain("b", 2)
+        first = scheduler.allocate([a, b])
+        assert first.granted_cores["a"] == pytest.approx(1.0)
+        a.vcpus[1].set_online(False)
+        second = scheduler.allocate([a, b])
+        assert second is not first
+        assert second.demand_cores["a"] == 1.0
+        # The crash fault assigns total_cores directly.
+        scheduler.total_cores = 4.0
+        third = scheduler.allocate([a, b])
+        assert third.total_cores == 4.0
+        assert third.granted_cores["b"] == pytest.approx(2.0)
+        # Domain order is an input too (it orders the decision).
+        assert list(scheduler.allocate([b, a]).granted_cores) == ["b", "a"]
+        # So is each weight, once the domains contend.
+        scheduler.total_cores = 2.0
+        before = scheduler.allocate([a, b]).granted_cores["b"]
+        b.weight = 512.0
+        assert scheduler.allocate([a, b]).granted_cores["b"] > before
+
+    def test_a_renamed_domain_with_equal_state_recomputes(self):
+        scheduler = CreditScheduler(total_cores=2)
+        scheduler.allocate([make_domain("a", 1)])
+        decision = scheduler.allocate([make_domain("b", 1)])
+        assert list(decision.granted_cores) == ["b"]
+
+
 class TestSchedulerProperties:
     @given(
         workers=st.lists(
