@@ -8,7 +8,7 @@ stay roughly constant — showing the scheduler, not the workload model,
 sets the speed.
 """
 
-from repro.experiments.runner import build_deployment
+from repro.experiments.testbed import build_deployment
 from repro.monitoring.probes import ContextProbe
 from repro.monitoring.sampler import TraceRecorder
 from repro.rubis.client import ClientPopulation

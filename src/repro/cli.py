@@ -43,6 +43,16 @@ Chrome-``trace_event`` JSON for chrome://tracing / Perfetto.
 ``compare`` reproduces the paper's Section 4.1/4.2
 comparison (the four ratio tables plus the Q1-Q5 findings);
 ``table1`` prints the metric catalogue sample.
+
+``run``, ``diagnose`` and ``trace`` share one set of scenario flags
+(``--scenario``, ``--environment``, ``--composition``, ``--duration``,
+``--seed``, ``--clients``, ``--scale``, ``--traffic``, ``--rate``,
+``--session-budget``, ``--engine``, ``--controller``, ``--servers``,
+``--placement``, ``--faults``) and one resolver, so the same flags
+name the same scenario under all three.  ``--scenario`` starts from a
+catalogue entry and rejects the flags the entry defines itself.
+``run --fleet`` honours only ``--seed``, ``--shards``,
+``--quick-fleet`` and ``--export-json`` and rejects every other flag.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.experiments.compare import compare_with_paper, qualitative_checks
 from repro.experiments.runner import run_scenario, run_scenario_cached
-from repro.experiments.scenarios import scenario, scenario_catalog
+from repro.experiments.scenarios import Scenario, scenario, scenario_catalog
 from repro.experiments.suite import (
     TENANT_MIXES,
     paper_matrix_suite,
@@ -81,6 +91,90 @@ from repro.monitoring.export import (
 )
 
 
+#: Flags a catalogue entry defines itself, so ``--scenario`` rejects them.
+_CATALOGUE_DEFINED = (
+    "--environment", "--composition", "--scale", "--traffic", "--rate",
+    "--session-budget", "--servers", "--placement", "--faults",
+)
+#: The ``run`` flags a sharded fleet honours; ``--fleet`` rejects the rest.
+_FLEET_FLAGS = (
+    "--fleet", "--shards", "--quick-fleet", "--seed", "--export-json",
+)
+
+
+def _scenario_flags() -> argparse.ArgumentParser:
+    """The scenario flags ``run``, ``diagnose`` and ``trace`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--scenario", default=None, metavar="NAME",
+        help="start from a catalogue entry (see `repro run --list`); "
+             "honours --duration/--seed/--clients/--controller/--engine "
+             "and rejects the flags the entry defines itself "
+             "(--environment/--traffic/--scale/--servers/--faults/...)",
+    )
+    parent.add_argument(
+        "--environment", default="virtualized",
+        choices=("virtualized", "bare-metal"),
+    )
+    parent.add_argument("--composition", default="browsing")
+    parent.add_argument("--duration", type=float, default=None,
+                        help="simulated seconds (default 240)")
+    parent.add_argument("--seed", type=int, default=42)
+    parent.add_argument("--clients", type=int, default=None)
+    parent.add_argument(
+        "--scale", type=float, default=1.0,
+        help="stress multiplier on horizon and clients (default 1)",
+    )
+    parent.add_argument(
+        "--traffic", default="closed", metavar="KIND",
+        help="traffic driver: closed (default), poisson, mmpp, bmodel "
+             "or trace:<path>",
+    )
+    parent.add_argument(
+        "--rate", type=float, default=None, metavar="RPS",
+        help="open-loop base request rate (default: clients/think_time)",
+    )
+    parent.add_argument(
+        "--session-budget", type=int, default=None, metavar="N",
+        help="open-loop concurrent-session cap (arrivals beyond it are "
+             "shed and reported)",
+    )
+    parent.add_argument(
+        "--engine", default="classic", choices=("classic", "batched"),
+        help="request engine: 'classic' (event-per-hop, the bit-stable "
+             "default) or 'batched' (array-native cohort engine; "
+             "equivalent in distribution, not bitwise — see "
+             "PERFORMANCE.md)",
+    )
+    parent.add_argument(
+        "--controller", default="none",
+        choices=("none", "static", "threshold", "pid", "predictive"),
+        help="elastic-control policy resizing the web VMs mid-run "
+             "(static = apply the initial sizing, never act); composes "
+             "with --scenario by swapping the catalogue entry's policy",
+    )
+    parent.add_argument(
+        "--servers", type=int, default=1, metavar="N",
+        help="physical servers in the fleet (>1 places VMs across "
+             "servers through the placement engine)",
+    )
+    parent.add_argument(
+        "--placement", default=None,
+        choices=("firstfit", "bestfit", "balance", "priority"),
+        help="placement policy assigning VMs to servers "
+             "(default: firstfit; only meaningful with --servers > 1)",
+    )
+    parent.add_argument(
+        "--faults", default=None, metavar="SCHEDULE",
+        help="inject faults mid-run: '+'-joined "
+             "kind@at[:duration[:magnitude]][/target] entries, e.g. "
+             "crash@60 or cap_theft@40:30:0.1/web-vm "
+             "(kinds: crash, degrade_disk, degrade_nic, cap_theft, "
+             "dom0_saturate, bot_flood, flash_crowd)",
+    )
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -90,82 +184,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario_flags = _scenario_flags()
 
-    run_parser = sub.add_parser("run", help="run one scenario")
+    run_parser = sub.add_parser(
+        "run", parents=[scenario_flags], help="run one scenario"
+    )
     run_parser.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
+        "--list", action="store_true",
         help="print the named scenario catalogue and exit",
-    )
-    run_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="run a catalogue entry by name (see --list); honours "
-             "--duration/--seed/--clients and rejects the remaining "
-             "shaping flags (--traffic/--scale/...)",
-    )
-    run_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    run_parser.add_argument("--composition", default="browsing")
-    run_parser.add_argument("--duration", type=float, default=None,
-                            help="simulated seconds (default 240)")
-    run_parser.add_argument("--seed", type=int, default=42)
-    run_parser.add_argument("--clients", type=int, default=None)
-    run_parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="stress multiplier on horizon and clients (default 1)",
-    )
-    run_parser.add_argument(
-        "--traffic", default="closed", metavar="KIND",
-        help="traffic driver: closed (default), poisson, mmpp, bmodel "
-             "or trace:<path>",
-    )
-    run_parser.add_argument(
-        "--rate", type=float, default=None, metavar="RPS",
-        help="open-loop base request rate (default: clients/think_time)",
-    )
-    run_parser.add_argument(
-        "--session-budget", type=int, default=None, metavar="N",
-        help="open-loop concurrent-session cap (arrivals beyond it are "
-             "shed and reported)",
-    )
-    run_parser.add_argument(
-        "--engine", default="classic", choices=("classic", "batched"),
-        help="request engine: 'classic' (event-per-hop, the bit-stable "
-             "default) or 'batched' (array-native cohort engine; "
-             "equivalent in distribution, not bitwise — see "
-             "PERFORMANCE.md)",
     )
     run_parser.add_argument(
         "--profile", default=None, metavar="FILE",
         help="profile the run loop with cProfile and dump the pstats "
              "data to FILE (inspect with `python -m pstats FILE`)",
-    )
-    run_parser.add_argument(
-        "--controller", default="none",
-        choices=("none", "static", "threshold", "pid", "predictive"),
-        help="elastic-control policy resizing the web VMs mid-run "
-             "(static = apply the initial sizing, never act); composes "
-             "with --scenario by swapping the catalogue entry's policy",
-    )
-    run_parser.add_argument(
-        "--servers", type=int, default=1, metavar="N",
-        help="physical servers in the fleet (>1 places VMs across "
-             "servers through the placement engine)",
-    )
-    run_parser.add_argument(
-        "--placement", default=None,
-        choices=("firstfit", "bestfit", "balance", "priority"),
-        help="placement policy assigning VMs to servers "
-             "(default: firstfit; only meaningful with --servers > 1)",
-    )
-    run_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="inject faults mid-run: '+'-joined "
-             "kind@at[:duration[:magnitude]][/target] entries, e.g. "
-             "crash@60 or cap_theft@40:30:0.1/web-vm "
-             "(kinds: crash, degrade_disk, degrade_nic, cap_theft, "
-             "dom0_saturate, bot_flood, flash_crowd)",
     )
     run_parser.add_argument(
         "--columnar", action="store_true",
@@ -217,8 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--fleet", default=None, metavar="NAME",
         help="run a sharded fleet scenario instead of one testbed "
-             "('list' prints the fleet catalogue); honours --seed and "
-             "--shards and rejects the single-run shaping flags",
+             "('list' prints the fleet catalogue); honours --seed, "
+             "--shards, --quick-fleet and --export-json and rejects "
+             "every other flag",
     )
     run_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -332,36 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     diagnose_parser = sub.add_parser(
-        "diagnose",
+        "diagnose", parents=[scenario_flags],
         help="run one scenario observed and print the diagnosis report",
-    )
-    diagnose_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="catalogue entry to diagnose (see `repro run --list`); "
-             "omit to build the run from the flags below",
-    )
-    diagnose_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    diagnose_parser.add_argument("--composition", default="browsing")
-    diagnose_parser.add_argument("--duration", type=float, default=None)
-    diagnose_parser.add_argument("--seed", type=int, default=42)
-    diagnose_parser.add_argument("--clients", type=int, default=None)
-    diagnose_parser.add_argument(
-        "--controller", default="none",
-        choices=("none", "static", "threshold", "pid", "predictive"),
-    )
-    diagnose_parser.add_argument(
-        "--servers", type=int, default=1, metavar="N",
-    )
-    diagnose_parser.add_argument(
-        "--placement", default=None,
-        choices=("firstfit", "bestfit", "balance", "priority"),
-    )
-    diagnose_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="fault schedule to inject (same syntax as `repro run`)",
     )
     diagnose_parser.add_argument(
         "--slo-ms", type=float, default=100.0, metavar="MS",
@@ -377,34 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     trace_parser = sub.add_parser(
-        "trace",
+        "trace", parents=[scenario_flags],
         help="run one scenario with request tracing and print the "
              "latency anatomy",
     )
     trace_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="catalogue entry to trace (see `repro run --list`); omit "
-             "to build the run from the flags below",
-    )
-    trace_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    trace_parser.add_argument("--composition", default="browsing")
-    trace_parser.add_argument("--duration", type=float, default=None)
-    trace_parser.add_argument("--seed", type=int, default=42)
-    trace_parser.add_argument("--clients", type=int, default=None)
-    trace_parser.add_argument(
-        "--engine", default="classic", choices=("classic", "batched"),
-        help="request engine to trace (both produce the same span "
-             "schema)",
-    )
-    trace_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="fault schedule to inject (same syntax as `repro run`)",
-    )
-    trace_parser.add_argument(
         "--sample", type=float, default=0.05, metavar="RATE",
+        dest="trace_sample",
         help="request sampling rate (default 0.05)",
     )
     trace_parser.add_argument(
@@ -524,32 +507,75 @@ def _render_trace_report(result, tail: float, slowest: int) -> str:
     return "\n".join(lines)
 
 
+def _given_flags(
+    args: argparse.Namespace, defaults: argparse.Namespace
+) -> list:
+    """Option names of the flags ``args`` sets away from ``defaults``.
+
+    Relies on each flag's ``dest`` being its option name with the
+    dashes turned into underscores (``--session-budget`` ->
+    ``session_budget``).
+    """
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, default in vars(defaults).items()
+        if getattr(args, dest) != default
+    ]
+
+
+def _resolve_scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario the shared scenario flags describe.
+
+    Without ``--scenario`` the flags build an environment x composition
+    cell; with it they overlay the catalogue entry, which defines its
+    own workload, traffic and shape.
+    """
+    if args.scenario is not None:
+        given = _given_flags(args, _scenario_flags().parse_args([]))
+        rejected = [flag for flag in _CATALOGUE_DEFINED if flag in given]
+        if rejected:
+            raise ConfigurationError(
+                f"--scenario is incompatible with {', '.join(rejected)}; "
+                "the catalogue entry defines its own workload, traffic "
+                "and shape"
+            )
+    config = ExperimentConfig(
+        environment=args.environment,
+        composition=args.composition,
+        duration_s=args.duration,
+        seed=args.seed,
+        clients=args.clients,
+        scale=args.scale,
+        traffic=args.traffic,
+        rate_rps=args.rate,
+        session_budget=args.session_budget,
+        controller=args.controller,
+        servers=args.servers,
+        placement=args.placement,
+        faults=args.faults,
+        engine=args.engine,
+        # ``diagnose`` has no sampling flag: it runs untraced.
+        trace_sample=getattr(args, "trace_sample", 0.0),
+    )
+    if args.scenario is None:
+        return config.to_scenario()
+    catalog = scenario_catalog(
+        duration_s=args.duration, seed=args.seed, clients=args.clients
+    )
+    if args.scenario not in catalog:
+        raise ConfigurationError(
+            f"unknown scenario {args.scenario!r}; "
+            "see `repro run --list` for the catalogue"
+        )
+    return config.overlay(catalog[args.scenario])
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """``repro run --fleet``: the sharded fleet-of-fleets path."""
     from repro.shard import fleet_catalog, run_fleet
 
-    conflicting = {
-        "--scenario": args.scenario is not None,
-        "--environment": args.environment != "virtualized",
-        "--composition": args.composition != "browsing",
-        "--duration": args.duration is not None,
-        "--clients": args.clients is not None,
-        "--scale": args.scale != 1.0,
-        "--traffic": args.traffic != "closed",
-        "--rate": args.rate is not None,
-        "--session-budget": args.session_budget is not None,
-        "--engine": args.engine != "classic",
-        "--controller": args.controller != "none",
-        "--servers": args.servers != 1,
-        "--placement": args.placement is not None,
-        "--faults": args.faults is not None,
-        "--columnar": args.columnar,
-        "--trace-sample": args.trace_sample > 0.0,
-        "--diagnose": args.diagnose,
-        "--profile": args.profile is not None,
-        "--export-csv": args.export_csv is not None,
-    }
-    rejected = [flag for flag, given in conflicting.items() if given]
+    given = _given_flags(args, _build_parser().parse_args(["run"]))
+    rejected = [flag for flag in given if flag not in _FLEET_FLAGS]
     if rejected:
         raise ConfigurationError(
             f"--fleet is incompatible with {', '.join(rejected)}; a "
@@ -596,7 +622,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigurationError("--quick-fleet requires --fleet")
     if args.fleet is not None:
         return _cmd_fleet(args)
-    if args.list_scenarios:
+    if args.list:
         catalog = scenario_catalog(duration_s=args.duration, seed=args.seed)
         for name, spec in catalog.items():
             kind = "open-loop" if spec.open_loop else "closed-loop"
@@ -617,93 +643,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "trace exports require --trace-sample > 0"
         )
-    if args.scenario is not None:
-        # A catalogue entry fully describes its traffic and shaping, so
-        # flags that would silently conflict with it are rejected
-        # instead of dropped.
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--traffic": args.traffic != "closed",
-            "--scale": args.scale != 1.0,
-            "--rate": args.rate is not None,
-            "--session-budget": args.session_budget is not None,
-            "--servers": args.servers != 1,
-            "--placement": args.placement is not None,
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload, traffic "
-                "and shape"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-        if args.controller != "none":
-            # Swap (or attach) the policy while keeping the catalogue
-            # entry's capacity bands and thresholds — and rename the
-            # run to match, following the factories' convention, so a
-            # PID run never reports under a "_static" label.
-            from dataclasses import replace as _replace
-
-            from repro.control.spec import ControllerSpec
-
-            if spec.controller is not None:
-                controller = _replace(spec.controller, kind=args.controller)
-                name = spec.name
-                if name.endswith("_static"):
-                    name = name[: -len("_static")]
-                if args.controller == "static":
-                    name += "_static"
-            else:
-                controller = ControllerSpec.from_kind(args.controller)
-                name = f"{spec.name}@{args.controller}"
-            spec = _replace(spec, name=name, controller=controller)
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            scale=args.scale,
-            traffic=args.traffic,
-            rate_rps=args.rate,
-            session_budget=args.session_budget,
-            controller=(
-                None if args.controller == "none" else args.controller
-            ),
-            servers=args.servers,
-            placement=args.placement,
-            faults=args.faults,
-            engine=args.engine,
-            trace_sample=args.trace_sample,
-            collect_full_registry=args.columnar,
-        )
-        spec = config.to_scenario()
-    if args.scenario is not None and args.engine != "classic":
-        # The engine composes with catalogue entries: same workload,
-        # same shape, array-native execution.
-        from dataclasses import replace as _replace
-
-        spec = _replace(
-            spec, name=f"{spec.name}%{args.engine}", engine=args.engine
-        )
-    if args.scenario is not None and args.trace_sample > 0.0:
-        # Tracing composes with catalogue entries too: it observes the
-        # run without perturbing it, so the name stays unsuffixed.
-        from dataclasses import replace as _replace
-
-        spec = _replace(spec, trace_sample=args.trace_sample)
+    spec = _resolve_scenario(args)
     if spec.open_loop:
         if spec.traffic.kind == "trace" and spec.traffic.rate_rps is None:
             # The replay rate comes from the trace file, not the mix.
@@ -1052,45 +992,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--controller": args.controller != "none",
-            "--servers": args.servers != 1,
-            "--placement": args.placement is not None,
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload and faults"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            controller=(
-                None if args.controller == "none" else args.controller
-            ),
-            servers=args.servers,
-            placement=args.placement,
-            faults=args.faults,
-        )
-        spec = config.to_scenario()
+    spec = _resolve_scenario(args)
     print(
         f"diagnosing {spec.name}: {spec.duration_s:.0f}s simulated ...",
         file=sys.stderr,
@@ -1121,50 +1023,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from dataclasses import replace as _replace
-
-    if args.sample <= 0.0 or args.sample > 1.0:
+    if args.trace_sample <= 0.0 or args.trace_sample > 1.0:
         raise ConfigurationError("--sample must be in (0, 1]")
-    if args.scenario is not None:
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload and faults"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-        if args.engine != "classic":
-            spec = _replace(
-                spec, name=f"{spec.name}%{args.engine}", engine=args.engine
-            )
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            faults=args.faults,
-            engine=args.engine,
-        )
-        spec = config.to_scenario()
-    spec = _replace(spec, trace_sample=args.sample)
+    spec = _resolve_scenario(args)
     print(
         f"tracing {spec.name}: {spec.duration_s:.0f}s simulated at "
-        f"sample rate {args.sample:g} ...",
+        f"sample rate {args.trace_sample:g} ...",
         file=sys.stderr,
     )
     result = run_scenario(spec)

@@ -16,16 +16,12 @@ from repro.control.spec import CONTROLLER_KINDS, ControllerSpec
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultSchedule
 from repro.experiments.scenarios import (
-    ENGINES,
-    ENVIRONMENTS,
-    VIRTUALIZED,
     Scenario,
     default_duration_s,
     open_loop_scenario,
     scenario,
 )
-from repro.placement.spec import FleetSpec, validate_placement_policy
-from repro.rubis.workload import PAPER_COMPOSITIONS
+from repro.placement.spec import FleetSpec
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.base import TenantSpec
 
@@ -84,96 +80,46 @@ class ExperimentConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Deserialized tenants arrive as plain dicts; normalize to the
-        # hashable spec tuple so equality and round-trips hold.
+        # Deserialized tenants and fleet specs arrive as plain dicts;
+        # normalize them so equality and round-trips hold.
         coerced = tuple(
             entry if isinstance(entry, TenantSpec) else TenantSpec.from_dict(entry)
             for entry in self.tenants
         )
         object.__setattr__(self, "tenants", coerced)
-        if self.tenants and self.environment != VIRTUALIZED:
-            raise ConfigurationError(
-                "tenants require the virtualized environment"
-            )
-        if self.environment not in ENVIRONMENTS:
-            raise ConfigurationError(
-                f"unknown environment {self.environment!r}; "
-                f"choose from {ENVIRONMENTS}"
-            )
-        if self.composition not in PAPER_COMPOSITIONS:
-            raise ConfigurationError(
-                f"unknown composition {self.composition!r}; known: "
-                f"{sorted(PAPER_COMPOSITIONS)}"
-            )
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-        if self.clients is not None and self.clients < 1:
-            raise ConfigurationError("clients must be >= 1")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ConfigurationError("rate_rps must be positive")
+        if self.fleet is not None and not isinstance(self.fleet, FleetSpec):
+            object.__setattr__(self, "fleet", FleetSpec.from_dict(self.fleet))
+        # Only the CLI tokens are checked here; Scenario and its factory
+        # check every value they hold.  Building the scenario now makes a
+        # bad configuration fail at construction, not at run time.
         if self.controller not in (None, "none") + CONTROLLER_KINDS:
             raise ConfigurationError(
                 f"unknown controller {self.controller!r}; choose from "
                 f"{('none',) + CONTROLLER_KINDS}"
             )
-        if (
-            self.controller not in (None, "none")
-            and self.environment != VIRTUALIZED
+        traffic = self.traffic_spec()
+        if traffic is None and (
+            self.rate_rps is not None or self.session_budget is not None
         ):
-            raise ConfigurationError(
-                "controllers require the virtualized environment"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ConfigurationError(
-                f"trace_sample {self.trace_sample} outside [0, 1]"
-            )
-        if self.servers < 1:
-            raise ConfigurationError("servers must be >= 1")
-        if self.servers > 1 and self.environment != VIRTUALIZED:
-            raise ConfigurationError(
-                "multi-server fleets require the virtualized environment"
-            )
-        if self.placement is not None:
-            validate_placement_policy(self.placement)
-        if self.fleet is not None and not isinstance(self.fleet, FleetSpec):
-            object.__setattr__(self, "fleet", FleetSpec.from_dict(self.fleet))
-        if self.fleet is not None:
-            if self.servers < 2:
-                raise ConfigurationError(
-                    "a fleet controller needs servers >= 2"
-                )
-            if self.environment != VIRTUALIZED:
-                raise ConfigurationError(
-                    "fleet controllers require the virtualized environment"
-                )
-        # Parse the fault token eagerly so bad schedules fail at
-        # construction, and reject faults outside the virtualized
-        # environment (injectors actuate hypervisor state).
-        if self.fault_schedule() is not None:
-            if self.environment != VIRTUALIZED:
-                raise ConfigurationError(
-                    "fault injection requires the virtualized environment"
-                )
-        # Validate the traffic token eagerly so bad configs fail at
-        # construction, not at run time.
-        if self.traffic_spec() is None:
             # Closed loop: reject open-loop-only knobs instead of
             # silently running at a different offered load.
-            if self.rate_rps is not None:
-                raise ConfigurationError(
-                    "rate_rps requires an open-loop --traffic kind "
-                    "(poisson, mmpp, bmodel or trace:<path>)"
-                )
-            if self.session_budget is not None:
-                raise ConfigurationError(
-                    "session_budget requires an open-loop --traffic kind"
-                )
+            raise ConfigurationError(
+                "rate_rps and session_budget require an open-loop "
+                "--traffic kind (poisson, mmpp, bmodel or trace:<path>)"
+            )
+        shape = dict(
+            duration_s=self.duration_s,
+            seed=self.seed,
+            clients=self.clients,
+            scale=self.scale,
+        )
+        if traffic is None:
+            base = scenario(self.environment, self.composition, **shape)
+        else:
+            base = open_loop_scenario(
+                self.environment, self.composition, traffic=traffic, **shape
+            )
+        object.__setattr__(self, "_scenario", self.overlay(base))
 
     # -- scenario construction ------------------------------------------
 
@@ -196,38 +142,41 @@ class ExperimentConfig:
 
     def to_scenario(self) -> Scenario:
         """The runnable scenario this configuration describes."""
-        traffic = self.traffic_spec()
-        if traffic is not None:
-            spec = open_loop_scenario(
-                self.environment,
-                self.composition,
-                duration_s=self.duration_s,
-                seed=self.seed,
-                clients=self.clients,
-                scale=self.scale,
-                traffic=traffic,
-            )
-        else:
-            spec = scenario(
-                self.environment,
-                self.composition,
-                duration_s=self.duration_s,
-                seed=self.seed,
-                clients=self.clients,
-                scale=self.scale,
-            )
+        return self._scenario
+
+    def overlay(self, base: Scenario) -> Scenario:
+        """``base`` with this configuration's overrides applied.
+
+        :meth:`to_scenario` overlays the environment x composition
+        cell; ``repro run --scenario`` overlays a catalogue entry.
+        Overrides that change the physics suffix the name (``+tenants``,
+        ``@controller``, ``/sN``, ``!faults``, ``%engine``); the fleet
+        spec and the trace rate leave it unsuffixed, but the cache key
+        covers them.
+        """
+        spec = base
         if self.tenants:
             names = "+".join(t.name for t in self.tenants)
             spec = replace(
                 spec, name=f"{spec.name}+{names}", tenants=self.tenants
             )
         if self.controller not in (None, "none"):
-            spec = replace(
-                spec,
-                name=f"{spec.name}@{self.controller}",
-                controller=ControllerSpec.from_kind(self.controller),
-            )
-        if self.servers > 1:
+            if spec.controller is not None:
+                # Swap the policy but keep the base's capacity bands and
+                # thresholds, and rename the run to match, following the
+                # factories' convention, so a PID run never reports
+                # under a "_static" label.
+                name = spec.name.removesuffix("_static")
+                if self.controller == "static":
+                    name += "_static"
+                controller = replace(spec.controller, kind=self.controller)
+            else:
+                name = f"{spec.name}@{self.controller}"
+                controller = ControllerSpec.from_kind(self.controller)
+            spec = replace(spec, name=name, controller=controller)
+        # ``!= 1`` and ``!= 0.0`` rather than ``>``: an out-of-range
+        # value must reach Scenario's check instead of being skipped.
+        if self.servers != 1:
             spec = replace(
                 spec,
                 name=f"{spec.name}/s{self.servers}",
@@ -237,8 +186,6 @@ class ExperimentConfig:
         elif self.placement is not None:
             spec = replace(spec, placement=self.placement)
         if self.fleet is not None:
-            # The fleet spec is infrastructure, not workload shape, so
-            # the name stays unsuffixed — the cache key still covers it.
             spec = replace(spec, fleet=self.fleet)
         schedule = self.fault_schedule()
         if schedule is not None:
@@ -251,9 +198,7 @@ class ExperimentConfig:
             spec = replace(
                 spec, name=f"{spec.name}%{self.engine}", engine=self.engine
             )
-        if self.trace_sample > 0.0:
-            # Tracing never changes the physics, so the name is kept
-            # unsuffixed — but the cache key includes the rate.
+        if self.trace_sample != 0.0:
             spec = replace(spec, trace_sample=self.trace_sample)
         return spec
 
@@ -273,27 +218,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {
-            "environment",
-            "composition",
-            "duration_s",
-            "seed",
-            "clients",
-            "scale",
-            "traffic",
-            "rate_rps",
-            "session_budget",
-            "tenants",
-            "controller",
-            "servers",
-            "placement",
-            "fleet",
-            "faults",
-            "engine",
-            "trace_sample",
-            "collect_full_registry",
-            "metadata",
-        }
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(
                 f"unknown configuration keys: {sorted(unknown)}"

@@ -33,11 +33,7 @@ from repro.rubis.batched import BatchedOpenDriver
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.trace import RateTrace
 from repro.experiments.scenarios import Scenario
-from repro.experiments.testbed import (  # noqa: F401  (compat re-exports)
-    build_deployment,
-    build_testbed,
-    calibrated_environment,
-)
+from repro.experiments.testbed import build_testbed
 
 
 @dataclass

@@ -137,6 +137,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(environment="bare-metal", faults="crash@60")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"clients": 0},
+        {"scale": -1.0},
+        {"traffic": "poisson", "rate_rps": -5.0},
+        {"engine": "warp"},
+        {"trace_sample": -0.1},
+        {"trace_sample": 1.5},
+        {"servers": 0},
+        {"servers": 1, "fleet": {}},
+        {"environment": "bare-metal", "controller": "pid"},
+        {"environment": "bare-metal", "tenants": [{"name": "batch"}]},
+    ])
+    def test_scenario_checks_fail_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(duration_s=40.0, **kwargs)
+
 
 class TestCli:
     def test_run_prints_summary_and_report(self, capsys):
