@@ -29,8 +29,6 @@ from repro.rubis.client import SessionStats
 from repro.rubis.deployment import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.rubis.batched import BatchedOpenDriver
-from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.trace import RateTrace
 from repro.experiments.scenarios import Scenario
 from repro.experiments.testbed import build_testbed
@@ -46,8 +44,8 @@ class ExperimentResult:
     requests_completed: int
     mean_response_time_s: float
     deployment: Deployment = field(repr=False, default=None)
-    #: The traffic driver: a ClientPopulation (closed loop) or an
-    #: OpenLoopDriver (open loop).
+    #: The web tenant's traffic driver (closed or open loop, either
+    #: engine; see :mod:`repro.workloads.rubis`).
     population: object = field(repr=False, default=None)
     full_rows: list = field(repr=False, default_factory=list)
     #: Full-registry samples as per-metric arrays (only populated when
@@ -84,9 +82,7 @@ class ExperimentResult:
     @property
     def open_loop(self) -> bool:
         """True when an open-loop driver (either engine) produced this."""
-        return isinstance(
-            self.population, (OpenLoopDriver, BatchedOpenDriver)
-        )
+        return self.scenario.open_loop
 
     @property
     def p95_response_time_s(self) -> float:
@@ -174,11 +170,7 @@ class PreparedRun:
                 else None
             ),
             traffic_report=(
-                population.summary()
-                if isinstance(
-                    population, (OpenLoopDriver, BatchedOpenDriver)
-                )
-                else None
+                population.summary() if scenario.open_loop else None
             ),
             tenant_reports=testbed.tenant_reports(),
             interference=testbed.interference_report(),
@@ -270,8 +262,8 @@ def run_scenario(
     horizons.
 
     Open-loop scenarios (``scenario.traffic``) are driven by an
-    :class:`~repro.traffic.driver.OpenLoopDriver` instead of the
-    closed-loop client population and always produce
+    open-loop driver (:class:`~repro.traffic.driver.OpenLoopBase`)
+    instead of the closed-loop client population and always produce
     ``result.arrival_trace`` and ``result.traffic_report``.  For
     closed-loop runs, ``meter_arrivals=True`` wraps the send path in an
     arrival counter so the run yields the same per-interval offered

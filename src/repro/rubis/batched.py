@@ -12,11 +12,14 @@ subsystem keep running through the tuple heap unchanged — they observe
 the same monotonic counters, station statistics, memory gauges and
 session stats the classic engine maintains.
 
-Two drivers mirror the classic traffic drivers one-for-one:
+Two drivers derive from the same bases as the classic traffic drivers,
+so each engine pair shares one driver contract:
 
 * :class:`BatchedClosedDriver` — the closed-loop population
-  (think/send/wait loops, ramp-up, synchronized burst waves);
-* :class:`BatchedOpenDriver` — the open-loop driver.  It consumes the
+  (think/send/wait loops, ramp-up, synchronized burst waves), on
+  :class:`~repro.rubis.client.ClosedLoopBase`;
+* :class:`BatchedOpenDriver` — the open-loop driver, on the
+  :class:`~repro.traffic.driver.OpenLoopBase` ledger.  It consumes the
   *same* ``"<stream>.arrivals"`` RNG stream through the same
   :func:`~repro.traffic.spec.build_process`, so the offered arrival
   times are bit-identical to the classic engine at matched seeds.
@@ -60,14 +63,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.rubis.client import SessionStats
+from repro.rubis.client import ClosedLoopBase
 from repro.rubis.database import BufferPool
 from repro.rubis.transitions import TransitionMatrix
 from repro.rubis.workload import SessionType, WorkloadMix
 from repro.sim.batched import DRAIN_INTERVAL_S, DRAIN_PRIORITY, FcfsPool, lindley
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
+from repro.traffic.driver import OpenLoopBase
 from repro.virt.io_backend import DOM0_OWNER
 
 PAGE_BYTES = BufferPool.PAGE_BYTES
@@ -148,6 +151,38 @@ class _MatrixWalk:
     def step(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
         draws = rng.random(states.size)
         return (self.cdf_rows[states] <= draws[:, None]).sum(axis=1)
+
+
+def _walks(matrices: Dict[SessionType, TransitionMatrix], table) -> tuple:
+    """Both session types' walks, indexed like ``stype`` (0 browse, 1 bid)."""
+    return (
+        _MatrixWalk(matrices[SessionType.BROWSE], table),
+        _MatrixWalk(matrices[SessionType.BID], table),
+    )
+
+
+def _step_walks(walks, rng, stype, state, due: np.ndarray) -> np.ndarray:
+    """Step the ``due`` sessions' chains in place (per session type,
+    vectorized CDF inversion); return their global interaction indices."""
+    g = np.empty(due.size, dtype=np.int64)
+    for type_index in (0, 1):
+        mask = stype[due] == type_index
+        if mask.any():
+            walk = walks[type_index]
+            nxt = walk.step(rng, state[due[mask]])
+            state[due[mask]] = nxt
+            g[mask] = walk.to_global[nxt]
+    return g
+
+
+def _start_drain(sim: Simulator, drain) -> PeriodicProcess:
+    return PeriodicProcess(
+        sim,
+        DRAIN_INTERVAL_S,
+        drain,
+        priority=DRAIN_PRIORITY,
+        name="batched-drain",
+    ).start()
 
 
 def _bump(counters: dict, owner: str, amount: float) -> None:
@@ -748,35 +783,15 @@ class BatchedPhysics:
             )
 
 
-def _record_requests(stats: SessionStats, names, g: np.ndarray) -> None:
-    stats.requests_sent += g.size
-    counts = np.bincount(g, minlength=len(names))
-    per = stats.per_interaction
-    for i in np.nonzero(counts)[0]:
-        name = names[i]
-        per[name] = per.get(name, 0) + int(counts[i])
-
-
-def _record_responses(stats: SessionStats, times: np.ndarray) -> None:
-    stats.responses_received += times.size
-    stats.total_response_time_s += float(times.sum())
-    reservoir = stats.response_times_s
-    room = SessionStats.MAX_SAMPLES - len(reservoir)
-    if room > 0:
-        reservoir.extend(times[:room].tolist())
-    if stats._window_sinks:
-        values = times.tolist()
-        for sink in stats._window_sinks:
-            sink.extend(values)
-
-
-class BatchedClosedDriver:
+class BatchedClosedDriver(ClosedLoopBase):
     """Closed-loop population as column arrays.
 
-    Drop-in for :class:`~repro.rubis.client.ClientPopulation`: same
-    ``stats``/``start``/``active_session_count``/``burst_times`` surface,
-    same ramp-up, session-type and burst semantics — with the per-session
-    think loop replaced by ``wake``/``done_at`` arrays drained in bulk.
+    Shares :class:`~repro.rubis.client.ClosedLoopBase` with the classic
+    :class:`~repro.rubis.client.ClientPopulation` (ramp check,
+    ``throughput_estimate``, ``burst_times`` and the burst-arming loop),
+    so ramp-up, session-type and burst semantics are the same; only the
+    per-session think loop is replaced by ``wake``/``done_at`` arrays
+    drained in bulk.
     """
 
     def __init__(
@@ -790,26 +805,19 @@ class BatchedClosedDriver:
         meter=None,
         tracer=None,
     ) -> None:
-        if ramp_s < 0:
-            raise ConfigurationError("ramp_s must be non-negative")
-        self.sim = sim
-        self.mix = mix
+        super().__init__(sim, mix, ramp_s)
         self.rng = streams.stream("batched.clients")
         self.physics = BatchedPhysics(
             sim, deployment, streams.stream("batched.demand"), tracer=tracer
         )
         self.tracer = tracer
-        self.stats = SessionStats()
         self.meter = meter
         n = mix.clients
         # Session types drawn exactly like the classic constructor: one
         # uniform per client against the browse fraction.
         draws = np.array([self.rng.uniform() for _ in range(n)])
         self.stype = (draws >= mix.browse_fraction).astype(np.int8)
-        self.walks = (
-            _MatrixWalk(matrices[SessionType.BROWSE], self.physics.table),
-            _MatrixWalk(matrices[SessionType.BID], self.physics.table),
-        )
+        self.walks = _walks(matrices, self.physics.table)
         self.state = np.empty(n, dtype=np.int64)
         for t in (0, 1):
             self.state[self.stype == t] = self.walks[t].initial_index
@@ -819,16 +827,7 @@ class BatchedClosedDriver:
         # ``ClientSession.requests_sent`` so the trace sampler sees the
         # same (session_id, seq) coordinates on both engines.
         self.sent = np.zeros(n, dtype=np.int64)
-        self._ramp_s = float(ramp_s)
-        self.burst_times: Dict[SessionType, tuple] = {}
         self._process: Optional[PeriodicProcess] = None
-
-    def active_session_count(self) -> int:
-        return self.stype.size
-
-    @property
-    def throughput_estimate(self) -> float:
-        return self.mix.clients / self.mix.think_time_s
 
     def start(self) -> None:
         rng = self.rng
@@ -836,24 +835,8 @@ class BatchedClosedDriver:
         self.wake = np.array(
             [rng.uniform(0.0, max(self._ramp_s, 1e-9)) for _ in range(n)]
         )
-        for session_type in SessionType:
-            schedule = self.mix.burst_schedule(session_type)
-            times = schedule.sample_times(rng)
-            self.burst_times[session_type] = times
-            for burst_time in times:
-                self.sim.schedule_at(
-                    burst_time,
-                    self._fire_burst,
-                    session_type,
-                    schedule.fraction,
-                )
-        self._process = PeriodicProcess(
-            self.sim,
-            DRAIN_INTERVAL_S,
-            self._drain,
-            priority=DRAIN_PRIORITY,
-            name="batched-drain",
-        ).start()
+        self._arm_bursts()
+        self._process = _start_drain(self.sim, self._drain)
 
     def _fire_burst(self, session_type: SessionType, fraction: float) -> None:
         now = self.sim.now
@@ -885,16 +868,8 @@ class BatchedClosedDriver:
                 began = True
             due = due[np.argsort(self.wake[due], kind="stable")]
             t0 = self.wake[due]
-            # Step the chains (per session type, vectorized CDF inversion).
-            g = np.empty(due.size, dtype=np.int64)
-            for t in (0, 1):
-                mask = self.stype[due] == t
-                if mask.any():
-                    walk = self.walks[t]
-                    nxt = walk.step(self.rng, self.state[due[mask]])
-                    self.state[due[mask]] = nxt
-                    g[mask] = walk.to_global[nxt]
-            _record_requests(stats, names, g)
+            g = _step_walks(self.walks, self.rng, self.stype, self.state, due)
+            stats.record_requests(names, g)
             if self.meter is not None:
                 self.meter.record_batch(t0)
             trace = None
@@ -905,7 +880,7 @@ class BatchedClosedDriver:
                     self.tracer.sampler.sample_array(due, seqs), due, seqs
                 )
             t_done = physics.process(t0, g, trace)
-            _record_responses(stats, t_done - t0)
+            stats.record_responses(t_done - t0)
             thinks = self.rng.exponential(mix_think, due.size)
             self.done_at[due] = t_done
             self.wake[due] = t_done + thinks
@@ -913,14 +888,18 @@ class BatchedClosedDriver:
             physics.end_drain(tick_time)
 
 
-class BatchedOpenDriver:
+class BatchedOpenDriver(OpenLoopBase):
     """Open-loop driver over column arrays.
 
-    Mirrors :class:`~repro.traffic.driver.OpenLoopDriver` counter for
-    counter.  The arrival process is built from the same
-    ``"<stream>.arrivals"`` RNG stream, so offered arrival times are
-    bit-identical to the classic engine; admission, transitions and
-    think times draw from the new ``batched.sessions`` stream.
+    Shares :class:`~repro.traffic.driver.OpenLoopBase` — the counters,
+    the session budget, the retry policy and ``summary()`` — with the
+    classic :class:`~repro.traffic.driver.OpenLoopDriver`; what differs
+    is admission: an arrival fills a session slot when the drain tick
+    reaches it, instead of firing its own event.  The arrival process is
+    built from the same ``"<stream>.arrivals"`` RNG stream, so offered
+    arrival times are bit-identical to the classic engine; admission,
+    transitions and think times draw from the ``batched.sessions``
+    stream.
     """
 
     def __init__(
@@ -933,50 +912,25 @@ class BatchedOpenDriver:
         process,
         session_budget: Optional[int] = None,
         requests_per_session: int = 1,
-        meter_interval_s: Optional[float] = None,
         retry_max: int = 0,
         retry_backoff_s: float = 2.0,
         tracer=None,
     ) -> None:
-        from repro.traffic.driver import ArrivalMeter
-
-        if session_budget is not None and session_budget < 1:
-            raise ConfigurationError("session_budget must be >= 1")
-        if requests_per_session < 1:
-            raise ConfigurationError("requests_per_session must be >= 1")
-        if retry_max < 0:
-            raise ConfigurationError("retry_max must be >= 0")
-        if retry_backoff_s <= 0:
-            raise ConfigurationError("retry_backoff_s must be positive")
-        self.sim = sim
-        self.mix = mix
+        super().__init__(
+            sim,
+            mix,
+            process,
+            session_budget=session_budget,
+            requests_per_session=requests_per_session,
+            retry_max=retry_max,
+            retry_backoff_s=retry_backoff_s,
+        )
         self.rng = streams.stream("batched.sessions")
         self.physics = BatchedPhysics(
             sim, deployment, streams.stream("batched.demand"), tracer=tracer
         )
         self.tracer = tracer
-        self.process = process
-        self.session_budget = session_budget
-        self.requests_per_session = int(requests_per_session)
-        self.retry_max = int(retry_max)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.stats = SessionStats()
-        if meter_interval_s is None:
-            self.meter = ArrivalMeter()
-        else:
-            self.meter = ArrivalMeter(interval_s=meter_interval_s)
-        self.walks = (
-            _MatrixWalk(matrices[SessionType.BROWSE], self.physics.table),
-            _MatrixWalk(matrices[SessionType.BID], self.physics.table),
-        )
-        self.arrivals_offered = 0
-        self.arrivals_admitted = 0
-        self.arrivals_shed = 0
-        self.arrivals_retried = 0
-        self.arrivals_abandoned = 0
-        self.sessions_completed = 0
-        self._in_flight = 0
-        self._started = False
+        self.walks = _walks(matrices, self.physics.table)
         # Session slots (SoA with a free list).
         capacity = 64
         self.wake = np.full(capacity, np.inf)
@@ -994,60 +948,12 @@ class BatchedOpenDriver:
         self._retries: List[tuple] = []  # (due_time, attempt)
         self._drain_process: Optional[PeriodicProcess] = None
 
-    # -- driver surface shared with OpenLoopDriver -------------------------
-
-    def active_session_count(self) -> int:
-        return self._in_flight
-
-    def set_session_budget(self, session_budget: Optional[int]) -> None:
-        if session_budget is not None and session_budget < 1:
-            raise ConfigurationError("session_budget must be >= 1")
-        self.session_budget = session_budget
-
-    @property
-    def throughput_estimate(self) -> float:
-        return self.process.rate_rps
-
-    @property
-    def shed_fraction(self) -> float:
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_shed / self.arrivals_offered
-
-    @property
-    def abandonment_fraction(self) -> float:
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_abandoned / self.arrivals_offered
-
-    def summary(self) -> dict:
-        return {
-            "offered": self.arrivals_offered,
-            "admitted": self.arrivals_admitted,
-            "shed": self.arrivals_shed,
-            "shed_fraction": self.shed_fraction,
-            "retried": self.arrivals_retried,
-            "abandoned": self.arrivals_abandoned,
-            "abandonment_fraction": self.abandonment_fraction,
-            "sessions_completed": self.sessions_completed,
-            "in_flight": self._in_flight,
-            "session_budget": self.session_budget,
-            "requests_per_session": self.requests_per_session,
-            "nominal_rate_rps": self.process.rate_rps,
-        }
-
-    def start(self) -> None:
-        if self._started:
-            raise ConfigurationError("driver already started")
-        self._started = True
+    def _arm(self) -> None:
         self._pending_arrival = self.process.next_arrival()
-        self._drain_process = PeriodicProcess(
-            self.sim,
-            DRAIN_INTERVAL_S,
-            self._drain,
-            priority=DRAIN_PRIORITY,
-            name="batched-drain",
-        ).start()
+        self._drain_process = _start_drain(self.sim, self._drain)
+
+    def _schedule_retry(self, due_s: float, attempt: int) -> None:
+        self._retries.append((due_s, attempt))
 
     # -- slot management ----------------------------------------------------
 
@@ -1078,14 +984,6 @@ class BatchedOpenDriver:
         self.serial[slot] = self._next_serial
         self._next_serial += 1
 
-    def _handle_shed(self, t: float, attempt: int) -> None:
-        if attempt < self.retry_max:
-            self.arrivals_retried += 1
-            delay = self.retry_backoff_s * (2.0 ** attempt)
-            self._retries.append((t + delay, attempt + 1))
-        else:
-            self.arrivals_abandoned += 1
-
     # -- the drain ----------------------------------------------------------
 
     def _drain(self, tick_time: float) -> None:
@@ -1106,15 +1004,14 @@ class BatchedOpenDriver:
         due_retries = [r for r in self._retries if r[0] <= tick_time]
         if due_retries:
             self._retries = [r for r in self._retries if r[0] > tick_time]
-        pending = [(t, 0, False) for t in arrivals] + [
-            (t, attempt, True) for (t, attempt) in due_retries
-        ]
+        # (offer_time, attempt): attempt 0 is a first offer, > 0 a retry.
+        pending = [(t, 0) for t in arrivals] + due_retries
         pending.sort(key=lambda o: o[0])
 
         budget = self.session_budget
         if budget is None:
             # No gate: every offer starts a session at its arrival time.
-            for offer_time, _attempt, _is_retry in pending:
+            for offer_time, _attempt in pending:
                 self._admit(offer_time)
             pending = []
 
@@ -1139,7 +1036,7 @@ class BatchedOpenDriver:
             finishes.sort()
             still: List[tuple] = []
             progressed = False
-            for offer_time, attempt, is_retry in pending:
+            for offer_time, attempt in pending:
                 in_flight_at_offer = self._in_flight + (
                     len(finishes)
                     - bisect_right(finishes, offer_time)
@@ -1148,16 +1045,16 @@ class BatchedOpenDriver:
                     self._admit(offer_time)
                     progressed = True
                 else:
-                    still.append((offer_time, attempt, is_retry))
+                    still.append((offer_time, attempt))
             pending = still
             if not progressed:
                 break
 
         # 3. Offers no completion could save are genuinely shed.
-        for offer_time, attempt, is_retry in pending:
-            if not is_retry:
+        for offer_time, attempt in pending:
+            if attempt == 0:
                 self.arrivals_shed += 1
-            self._handle_shed(offer_time, attempt)
+            self._handle_shed(attempt, offer_time)
         if pending:
             # Retries scheduled by the sheds above may fall inside this
             # very window; give them one more gate walk so a backoff
@@ -1176,7 +1073,7 @@ class BatchedOpenDriver:
                     if in_flight_at_offer < budget:
                         self._admit(offer_time)
                     else:
-                        self._handle_shed(offer_time, attempt)
+                        self._handle_shed(attempt, offer_time)
                 began = self._run_waves(tick_time, began, finishes)
 
         if began:
@@ -1203,15 +1100,8 @@ class BatchedOpenDriver:
                 began = True
             due = due[np.argsort(self.wake[due], kind="stable")]
             t0 = self.wake[due]
-            g = np.empty(due.size, dtype=np.int64)
-            for type_index in (0, 1):
-                mask = self.stype[due] == type_index
-                if mask.any():
-                    walk = self.walks[type_index]
-                    nxt = walk.step(self.rng, self.state[due[mask]])
-                    self.state[due[mask]] = nxt
-                    g[mask] = walk.to_global[nxt]
-            _record_requests(stats, names, g)
+            g = _step_walks(self.walks, self.rng, self.stype, self.state, due)
+            stats.record_requests(names, g)
             trace = None
             if self.tracer is not None:
                 sids = self.serial[due]
@@ -1222,7 +1112,7 @@ class BatchedOpenDriver:
                     self.tracer.sampler.sample_array(sids, seqs), sids, seqs
                 )
             t_done = physics.process(t0, g, trace)
-            _record_responses(stats, t_done - t0)
+            stats.record_responses(t_done - t0)
             self.remaining[due] -= 1
             finished = self.remaining[due] <= 0
             if finished.any():
@@ -1230,8 +1120,7 @@ class BatchedOpenDriver:
                 self.active[done_slots] = False
                 self.wake[done_slots] = np.inf
                 self._free.extend(int(s) for s in done_slots)
-                self.sessions_completed += int(done_slots.size)
-                self._in_flight -= int(done_slots.size)
+                self._sessions_done(int(done_slots.size))
                 finishes.extend(float(v) for v in t_done[finished])
             live = due[~finished]
             if live.size:

@@ -1,4 +1,4 @@
-"""Closed-loop client emulation.
+"""Closed-loop client emulation and the traffic-driver contract.
 
 The paper drives RUBiS with 1000 clients external to the testbed, each
 with a 7-second mean think time.  A :class:`ClientSession` is a closed
@@ -11,8 +11,15 @@ mechanism of Figures 2 and 6).
 A deployment accepts any *traffic driver* in place of the population:
 an object with ``start()``, a ``stats`` :class:`SessionStats`, and
 ``active_session_count()`` (what the tier memory models scale with).
-:class:`ClientPopulation` is the closed-loop driver;
-:class:`repro.traffic.driver.OpenLoopDriver` is the open-loop one.
+Both engines share one base per loop, so only how a session is stepped
+differs: :class:`ClosedLoopBase` (ramp check, ``throughput_estimate``,
+burst waves) under :class:`ClientPopulation` and
+:class:`~repro.rubis.batched.BatchedClosedDriver`, and the
+:class:`~repro.traffic.driver.OpenLoopBase` ledger under
+:class:`~repro.traffic.driver.OpenLoopDriver` and
+:class:`~repro.rubis.batched.BatchedOpenDriver`.  Drivers record into
+:class:`SessionStats` one request at a time (classic) or a cohort at
+once (batched), always through its methods.
 """
 
 from __future__ import annotations
@@ -81,6 +88,29 @@ class SessionStats:
             if self._window_sinks:
                 for sink in self._window_sinks:
                     sink.append(response_time)
+
+    def record_requests(self, names, indices: np.ndarray) -> None:
+        """Count a cohort of sends at once (``indices`` into ``names``)."""
+        self.requests_sent += indices.size
+        counts = np.bincount(indices, minlength=len(names))
+        per = self.per_interaction
+        for i in np.nonzero(counts)[0]:
+            name = names[i]
+            per[name] = per.get(name, 0) + int(counts[i])
+
+    def record_responses(self, times: np.ndarray) -> None:
+        """Record a cohort of response times at once (bulk
+        :meth:`record_response`)."""
+        self.responses_received += times.size
+        self.total_response_time_s += float(times.sum())
+        reservoir = self.response_times_s
+        room = self.MAX_SAMPLES - len(reservoir)
+        if room > 0:
+            reservoir.extend(times[:room].tolist())
+        if self._window_sinks:
+            values = times.tolist()
+            for sink in self._window_sinks:
+                sink.extend(values)
 
     @property
     def mean_response_time_s(self) -> float:
@@ -152,8 +182,54 @@ class ClientSession:
         self._think_event = sim.schedule(think, self._send_next)
 
 
-class ClientPopulation:
-    """All emulated clients for one experiment run."""
+class ClosedLoopBase:
+    """What every closed-loop driver shares, whatever its engine.
+
+    A fixed population of ``mix.clients`` sessions, all always active,
+    started over a ramp and synchronized by per-session-type burst
+    waves.  Subclasses draw from ``self.rng`` and implement
+    ``_fire_burst(session_type, fraction)``.
+    """
+
+    rng: np.random.Generator
+
+    def __init__(
+        self, sim: Simulator, mix: WorkloadMix, ramp_s: float
+    ) -> None:
+        if ramp_s < 0:
+            raise ConfigurationError("ramp_s must be non-negative")
+        self.sim = sim
+        self.mix = mix
+        self.stats = SessionStats()
+        self._ramp_s = float(ramp_s)
+        self.burst_times: Dict[SessionType, tuple] = {}
+
+    def active_session_count(self) -> int:
+        """Driver interface: closed-loop sessions are all always active."""
+        return self.mix.clients
+
+    @property
+    def throughput_estimate(self) -> float:
+        """Long-run requests/s implied by the closed-loop population."""
+        return self.mix.clients / self.mix.think_time_s
+
+    def _arm_bursts(self) -> None:
+        """Draw each session type's burst times and schedule the waves."""
+        for session_type in SessionType:
+            schedule = self.mix.burst_schedule(session_type)
+            times = schedule.sample_times(self.rng)
+            self.burst_times[session_type] = times
+            for burst_time in times:
+                self.sim.schedule_at(
+                    burst_time,
+                    self._fire_burst,
+                    session_type,
+                    schedule.fraction,
+                )
+
+
+class ClientPopulation(ClosedLoopBase):
+    """All emulated clients for one experiment run (classic engine)."""
 
     def __init__(
         self,
@@ -164,12 +240,8 @@ class ClientPopulation:
         matrices: Dict[SessionType, TransitionMatrix],
         ramp_s: float = 10.0,
     ) -> None:
-        if ramp_s < 0:
-            raise ConfigurationError("ramp_s must be non-negative")
-        self.sim = sim
-        self.mix = mix
+        super().__init__(sim, mix, ramp_s)
         self.rng = rng
-        self.stats = SessionStats()
         self.sessions: List[ClientSession] = []
         for session_id in range(mix.clients):
             session_type = mix.session_type(rng)
@@ -185,25 +257,13 @@ class ClientPopulation:
                     self.stats,
                 )
             )
-        self._ramp_s = float(ramp_s)
-        self.burst_times: Dict[SessionType, tuple] = {}
 
     def start(self) -> None:
         """Stagger session starts over the ramp and arm the burst waves."""
         for session in self.sessions:
             delay = float(self.rng.uniform(0.0, max(self._ramp_s, 1e-9)))
             session.start(delay)
-        for session_type in SessionType:
-            schedule = self.mix.burst_schedule(session_type)
-            times = schedule.sample_times(self.rng)
-            self.burst_times[session_type] = times
-            for burst_time in times:
-                self.sim.schedule_at(
-                    burst_time,
-                    self._fire_burst,
-                    session_type,
-                    schedule.fraction,
-                )
+        self._arm_bursts()
 
     def _fire_burst(self, session_type: SessionType, fraction: float) -> None:
         candidates = [
@@ -220,12 +280,3 @@ class ClientPopulation:
 
     def sessions_of_type(self, session_type: SessionType) -> List[ClientSession]:
         return [s for s in self.sessions if s.session_type is session_type]
-
-    def active_session_count(self) -> int:
-        """Driver interface: closed-loop sessions are all always active."""
-        return len(self.sessions)
-
-    @property
-    def throughput_estimate(self) -> float:
-        """Long-run requests/s implied by the closed-loop population."""
-        return self.mix.clients / self.mix.think_time_s

@@ -7,8 +7,9 @@ the three things the shard coordinator needs between windows:
 * **passive signals** (:meth:`signals`): window request counts and
   p95, per-server free memory, the throttleable-VM inventory, the
   fleet controller's stranded evacuees and the live capacity bill.
-  Collection drains shared sinks with cursors and never schedules an
-  event or draws randomness, so a pod that receives no commands stays
+  Collection drains the pod's own response-time window sink and reads
+  cumulative counters through cursors; it never schedules an event or
+  draws randomness, so a pod that receives no commands stays
   bit-identical to a plain one-shot run;
 * **command application** (:meth:`apply`): throttles, commanded
   migrations and cross-pod evacuations, applied at the window
@@ -65,7 +66,10 @@ class Pod:
         #: Evacuation bookkeeping (``{vm, peer}`` dicts).
         self.exported: List[dict] = []
         self.imported: List[dict] = []
-        self._p95_cursor = 0
+        # A live sink, not a cursor into the capped response-time
+        # reservoir, so the window p95 survives long runs.
+        self._window: list = []
+        self.testbed.web.stats.add_window_sink(self._window)
         self._requests_cursor = 0
         self._result = None
 
@@ -137,14 +141,14 @@ class Pod:
     def signals(self) -> dict:
         """This window's coordinator-facing state (plain data)."""
         stats = self.testbed.web.stats
-        times = stats.response_times_s
-        window_times = times[self._p95_cursor:]
-        self._p95_cursor = len(times)
+        window = self._window
         p95_ms = (
-            float(np.percentile(np.asarray(window_times), 95.0)) * 1000.0
-            if window_times
+            float(np.percentile(np.asarray(window), 95.0)) * 1000.0
+            if window
             else 0.0
         )
+        # Drain in place: the registered sink reference must stay alive.
+        window.clear()
         requests_total = stats.responses_received
         requests_delta = requests_total - self._requests_cursor
         self._requests_cursor = requests_total

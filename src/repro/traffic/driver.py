@@ -19,6 +19,12 @@ every open-loop generator must report, since an un-shed unbounded
 backlog would otherwise grow without limit exactly when the
 measurement is most interesting.
 
+The overload ledger — offered/admitted/shed counters, the session
+budget, the shed-retry policy and the summary report — lives in
+:class:`OpenLoopBase`, which the batched engine's
+:class:`~repro.rubis.batched.BatchedOpenDriver` shares; only how an
+arrival becomes a session differs between the two engines.
+
 An :class:`ArrivalMeter` bins every offered arrival into fixed
 intervals, so each run yields the
 :class:`~repro.traffic.trace.RateTrace` that closes the
@@ -172,29 +178,30 @@ class TransientSession:
             )
             driver.sim.schedule(think, self._send_next)
         else:
-            driver._session_done(self)
+            driver._sessions_done(1)
 
 
-class OpenLoopDriver:
-    """Spawns transient sessions from an arrival process, open-loop.
+class OpenLoopBase:
+    """The open-loop ledger both request engines share.
 
-    Drop-in alternative to the closed-loop
-    :class:`~repro.rubis.client.ClientPopulation` on the deployment
-    side: it exposes the same ``stats`` object and the
-    ``active_session_count()`` the memory models consume.
+    Owns the constructor checks, the offered/admitted/shed/retried/
+    abandoned/completed/in-flight counters, the session-budget actuator,
+    the single-start guard, the shed-retry policy and the overload
+    report.  A subclass decides how an arrival becomes a session — an
+    event per arrival (:class:`OpenLoopDriver`) or a slot filled by the
+    drain tick (:class:`~repro.rubis.batched.BatchedOpenDriver`) — by
+    implementing ``_arm()`` and ``_schedule_retry(due_s, attempt)`` and
+    bumping ``arrivals_offered``/``arrivals_shed``/``arrivals_admitted``
+    as it admits or sheds.
     """
 
     def __init__(
         self,
         sim: Simulator,
         mix: WorkloadMix,
-        send_fn: SendFn,
-        rng: np.random.Generator,
-        matrices: Dict[SessionType, TransitionMatrix],
         process: ArrivalProcess,
         session_budget: Optional[int] = None,
         requests_per_session: int = 1,
-        meter_interval_s: float = SAMPLE_PERIOD_S,
         retry_max: int = 0,
         retry_backoff_s: float = 2.0,
     ) -> None:
@@ -208,9 +215,6 @@ class OpenLoopDriver:
             raise ConfigurationError("retry_backoff_s must be positive")
         self.sim = sim
         self.mix = mix
-        self.send_fn = send_fn
-        self.rng = rng
-        self.matrices = matrices
         self.process = process
         self.session_budget = session_budget
         self.requests_per_session = int(requests_per_session)
@@ -223,7 +227,7 @@ class OpenLoopDriver:
         self.retry_max = int(retry_max)
         self.retry_backoff_s = float(retry_backoff_s)
         self.stats = SessionStats()
-        self.meter = ArrivalMeter(interval_s=meter_interval_s)
+        self.meter = ArrivalMeter()
         self.arrivals_offered = 0
         self.arrivals_admitted = 0
         self.arrivals_shed = 0
@@ -233,10 +237,9 @@ class OpenLoopDriver:
         self.arrivals_abandoned = 0
         self.sessions_completed = 0
         self._in_flight = 0
-        self._next_session_id = 0
         self._started = False
 
-    # -- driver surface shared with ClientPopulation ---------------------
+    # -- driver surface ------------------------------------------------------
 
     def active_session_count(self) -> int:
         """Sessions currently in flight (the open-loop 'population')."""
@@ -263,65 +266,24 @@ class OpenLoopDriver:
         if self._started:
             raise ConfigurationError("driver already started")
         self._started = True
-        self._schedule_next()
+        self._arm()
 
-    # -- arrival handling --------------------------------------------------
+    # -- ledger bookkeeping ------------------------------------------------
 
-    def _schedule_next(self) -> None:
-        t = self.process.next_arrival()
-        if t is None:
-            return
-        if t < self.sim.now:
-            # Arrival processes are nondecreasing; tolerate float dust.
-            t = self.sim.now
-        self.sim.schedule_at(t, self._on_arrival)
-
-    def _on_arrival(self) -> None:
-        now = self.sim.now
-        self.meter.record(now)
-        self.arrivals_offered += 1
-        budget = self.session_budget
-        if budget is not None and self._in_flight >= budget:
-            self.arrivals_shed += 1
-            self._handle_shed(attempt=0)
-        else:
-            self._admit()
-        self._schedule_next()
-
-    def _admit(self) -> None:
-        self.arrivals_admitted += 1
-        self._in_flight += 1
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        session_type = self.mix.session_type(self.rng)
-        session = TransientSession(
-            self,
-            session_id,
-            session_type,
-            self.matrices[session_type].initial_state,
-            self.requests_per_session,
-        )
-        session._send_next()
-
-    def _handle_shed(self, attempt: int) -> None:
-        """A visit found the front end full; retry with backoff or give up."""
+    def _handle_shed(self, attempt: int, at_s: Optional[float] = None) -> None:
+        """A visit found the front end full at ``at_s`` (default: now);
+        retry with backoff or give up."""
         if attempt < self.retry_max:
             self.arrivals_retried += 1
+            shed_at = self.sim.now if at_s is None else at_s
             delay = self.retry_backoff_s * (2.0 ** attempt)
-            self.sim.schedule(delay, self._retry, attempt + 1)
+            self._schedule_retry(shed_at + delay, attempt + 1)
         else:
             self.arrivals_abandoned += 1
 
-    def _retry(self, attempt: int) -> None:
-        budget = self.session_budget
-        if budget is not None and self._in_flight >= budget:
-            self._handle_shed(attempt)
-        else:
-            self._admit()
-
-    def _session_done(self, session: TransientSession) -> None:
-        self._in_flight -= 1
-        self.sessions_completed += 1
+    def _sessions_done(self, count: int) -> None:
+        self._in_flight -= count
+        self.sessions_completed += count
 
     # -- reporting ----------------------------------------------------------
 
@@ -366,3 +328,91 @@ class OpenLoopDriver:
             "requests_per_session": self.requests_per_session,
             "nominal_rate_rps": self.process.rate_rps,
         }
+
+
+class OpenLoopDriver(OpenLoopBase):
+    """Spawns transient sessions from an arrival process, open-loop.
+
+    The classic engine's open-loop driver: one event per arrival, one
+    :class:`TransientSession` per admitted visit.  Drop-in alternative
+    to the closed-loop :class:`~repro.rubis.client.ClientPopulation` on
+    the deployment side.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        mix: WorkloadMix,
+        send_fn: SendFn,
+        rng: np.random.Generator,
+        matrices: Dict[SessionType, TransitionMatrix],
+        process: ArrivalProcess,
+        session_budget: Optional[int] = None,
+        requests_per_session: int = 1,
+        retry_max: int = 0,
+        retry_backoff_s: float = 2.0,
+    ) -> None:
+        super().__init__(
+            sim,
+            mix,
+            process,
+            session_budget=session_budget,
+            requests_per_session=requests_per_session,
+            retry_max=retry_max,
+            retry_backoff_s=retry_backoff_s,
+        )
+        self.send_fn = send_fn
+        self.rng = rng
+        self.matrices = matrices
+        self._next_session_id = 0
+
+    # -- arrival handling --------------------------------------------------
+
+    def _arm(self) -> None:
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        t = self.process.next_arrival()
+        if t is None:
+            return
+        if t < self.sim.now:
+            # Arrival processes are nondecreasing; tolerate float dust.
+            t = self.sim.now
+        self.sim.schedule_at(t, self._on_arrival)
+
+    def _on_arrival(self) -> None:
+        now = self.sim.now
+        self.meter.record(now)
+        self.arrivals_offered += 1
+        budget = self.session_budget
+        if budget is not None and self._in_flight >= budget:
+            self.arrivals_shed += 1
+            self._handle_shed(attempt=0)
+        else:
+            self._admit()
+        self._schedule_next()
+
+    def _admit(self) -> None:
+        self.arrivals_admitted += 1
+        self._in_flight += 1
+        session_id = self._next_session_id
+        self._next_session_id += 1
+        session_type = self.mix.session_type(self.rng)
+        session = TransientSession(
+            self,
+            session_id,
+            session_type,
+            self.matrices[session_type].initial_state,
+            self.requests_per_session,
+        )
+        session._send_next()
+
+    def _schedule_retry(self, due_s: float, attempt: int) -> None:
+        self.sim.schedule_at(due_s, self._retry, attempt)
+
+    def _retry(self, attempt: int) -> None:
+        budget = self.session_budget
+        if budget is not None and self._in_flight >= budget:
+            self._handle_shed(attempt)
+        else:
+            self._admit()

@@ -37,7 +37,6 @@ from repro.traffic.arrivals import (
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.shapes import RateShape
 from repro.traffic.trace import RateTrace, TraceReplayProcess
-from repro.units import SAMPLE_PERIOD_S
 
 CLOSED = "closed"
 POISSON = "poisson"
@@ -243,7 +242,6 @@ def build_driver(
     send_fn: SendFn,
     streams: RandomStreams,
     matrices: Dict[SessionType, TransitionMatrix],
-    meter_interval_s: float = SAMPLE_PERIOD_S,
 ) -> OpenLoopDriver:
     """Build the live open-loop driver a spec describes.
 
@@ -262,7 +260,6 @@ def build_driver(
         process,
         session_budget=spec.session_budget,
         requests_per_session=spec.requests_per_session,
-        meter_interval_s=meter_interval_s,
         retry_max=spec.retry_max,
         retry_backoff_s=spec.retry_backoff_s,
     )

@@ -1,12 +1,17 @@
 """The RUBiS web workload as a :class:`~repro.workloads.base.Workload`.
 
 This is the paper's interactive tenant: the two-tier RUBiS deployment
-plus its traffic driver — the closed-loop client population by default,
-or an :class:`~repro.traffic.driver.OpenLoopDriver` when the scenario
-carries an open-loop traffic spec.  The wiring (stream names,
-construction order, probe entities ``web``/``db``) is exactly the
-pre-refactor experiment runner's, so single-tenant scenarios keep
-bit-identical traces through the workload abstraction.
+plus its traffic driver, picked by ``Scenario.open_loop`` and
+``Scenario.engine``.  Closed loop is ``ClientPopulation`` (classic) or
+``BatchedClosedDriver`` (batched), both on
+:class:`~repro.rubis.client.ClosedLoopBase`; open loop is
+``OpenLoopDriver`` or ``BatchedOpenDriver``, both on the
+:class:`~repro.traffic.driver.OpenLoopBase` ledger, so ``summary()``
+and ``set_session_budget()`` mean the same on either engine.  The
+wiring (stream names, construction order, probe entities
+``web``/``db``) is exactly the pre-refactor experiment runner's, so
+single-tenant scenarios keep bit-identical traces through the workload
+abstraction.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.rubis.transitions import bidding_matrix, browsing_matrix
 from repro.rubis.workload import SessionType
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.traffic.driver import ArrivalMeter, OpenLoopDriver
+from repro.traffic.driver import ArrivalMeter
 from repro.traffic.spec import build_driver as build_traffic_driver
 from repro.traffic.spec import build_process as build_traffic_process
 from repro.workloads.base import Workload
@@ -58,21 +63,18 @@ class RubisWorkload(Workload):
             SessionType.BID: bidding_matrix(),
         }
         traffic = scenario.traffic
-        batched = getattr(scenario, "engine", "classic") == "batched"
+        batched = scenario.batched
         self.meter: Optional[ArrivalMeter] = None
         self.tracer = None
-        trace_sample = float(getattr(scenario, "trace_sample", 0.0) or 0.0)
-        if trace_sample > 0.0:
+        if scenario.trace_sample > 0.0:
             # Deferred import: tracing lives in repro.obs, which is not
             # an import-time dependency of the workload layer.
             from repro.obs.tracing import RequestTracer
 
             self.tracer = RequestTracer(
-                scenario.seed,
-                trace_sample,
-                "batched" if batched else "classic",
+                scenario.seed, scenario.trace_sample, scenario.engine
             )
-        if traffic is not None and traffic.open_loop:
+        if scenario.open_loop:
             if batched:
                 process = build_traffic_process(
                     traffic,
@@ -165,9 +167,7 @@ class RubisWorkload(Workload):
 
     @property
     def open_loop(self) -> bool:
-        return isinstance(
-            self.population, (OpenLoopDriver, BatchedOpenDriver)
-        )
+        return self.scenario.open_loop
 
     def summary(self) -> dict:
         stats = self.population.stats
